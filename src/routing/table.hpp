@@ -1,5 +1,6 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "cluster/hierarchy.hpp"
@@ -38,7 +39,8 @@ struct RouteEntry {
 class RoutingTables {
  public:
   /// Build tables for every node. Cost: one multi-source BFS per cluster
-  /// per level — O(L * |V| + sum_k |V_k| * |E|) worst case, fine at the
+  /// per level over its parent's induced subgraph, plus one component
+  /// labelling — O(L * |V| + sum_k |V_k| * |E|) worst case, fine at the
   /// scales this library targets.
   RoutingTables(const graph::Graph& g, const cluster::Hierarchy& h);
 
@@ -61,19 +63,43 @@ class RoutingTables {
     bool recovered = false;  ///< loop detected; finished via recovery mode
   };
 
+  /// Reusable route() workspace, in the style of net::HopOracle::Scratch:
+  /// path marks, the bounded recovery sweep and the result buffer, each
+  /// reset through what the previous route touched. Callers that route many
+  /// packets keep one (one per thread); route() is const on the tables, so
+  /// distinct Scratch instances may route concurrently.
+  struct Scratch {
+    std::vector<std::uint8_t> visited;  ///< on the path (reset through result.path)
+    std::vector<std::uint32_t> dist;    ///< recovery hops to dest, kUnreachable if unswept
+    std::vector<NodeId> queue;          ///< recovery sweep order (resets dist)
+    RouteResult result;
+  };
+
   /// Trace the full path u -> dest. Hierarchical forwarding is loop-free as
   /// long as every hop stays inside the longest-matched cluster; entries
   /// that had to fall back to global shortest-path fields (non-contiguous
   /// cluster memberships) can oscillate — on the first revisit the packet
   /// switches to recovery mode (pure shortest-path forwarding), like the
-  /// route-repair fallback of SURAN/MMWN-class protocols.
-  RouteResult route(NodeId u, NodeId dest) const;
+  /// route-repair fallback of SURAN/MMWN-class protocols. The returned
+  /// reference lives in \p scratch until its next route() call.
+  const RouteResult& route(NodeId u, NodeId dest, Scratch& scratch) const;
+
+  /// Same, with a throwaway scratch (one-off queries and tests).
+  RouteResult route(NodeId u, NodeId dest) const {
+    Scratch scratch;
+    route(u, dest, scratch);
+    return std::move(scratch.result);
+  }
 
   const cluster::Hierarchy& hierarchy() const { return *h_; }
 
  private:
   /// Locate the entry at node u targeting (level, cluster).
   const RouteEntry* find_entry(NodeId u, Level level, NodeId cluster) const;
+
+  /// Recovery field: BFS from \p dest into \p s, stopped once \p cur and
+  /// \p revisit (kInvalidNode = none) are both discovered.
+  void recovery_sweep(NodeId dest, NodeId cur, NodeId revisit, Scratch& s) const;
 
   const graph::Graph* g_;
   const cluster::Hierarchy* h_;
@@ -91,7 +117,9 @@ struct StretchStats {
   Size failures = 0;    ///< pairs undeliverable even with recovery
 };
 
-/// Sample \p pairs random (src, dst) pairs and compare path lengths.
+/// Sample \p pairs random connected (src, dst) pairs and compare path
+/// lengths. Draws are capped at 64 * \p pairs, so a graph with few or no
+/// connected pairs (an edgeless one) returns short instead of spinning.
 StretchStats measure_stretch(const RoutingTables& tables, const graph::Graph& g, Size pairs,
                              std::uint64_t seed);
 

@@ -17,7 +17,7 @@
 /// to the data load the network exists to carry (experiment E19).
 ///
 /// Long-lived sessions (tick_sessions()): sessions persist across ticks and
-/// every per-tick packet first *resolves* its destination through a
+/// every tick's packets first *resolve* their destination through a
 /// LocatorView (the live LM database + handover FSM plane) before routing.
 /// Handoffs therefore have user-visible consequences (experiment E29):
 ///   - a resolution served by a stale / rolled-back copy misroutes the
@@ -56,6 +56,12 @@ struct LocateOutcome {
 /// exp::LmSessionLocator; traffic/ stays below lm/ in the layering, so only
 /// this interface lives here. nullptr in TickContext = always fresh
 /// (idealized resolution, the legacy behavior).
+///
+/// Contract: for the length of one SessionWorkload::tick_sessions() call,
+/// locate() is a pure read — the same \p dst yields the same outcome, and
+/// calling it consumes no RNG and changes no state any other call observes.
+/// tick_sessions() relies on this to resolve each live session once per
+/// tick and charge that outcome to all of the tick's packets.
 class LocatorView {
  public:
   virtual ~LocatorView() = default;
@@ -115,7 +121,9 @@ class SessionWorkload {
 
   /// Long-lived mode: expire finished sessions, admit Poisson arrivals,
   /// then send each live session's per-tick packets through locator +
-  /// routing. Skips (and counts) the tick when node_count < 2.
+  /// routing: each session resolves and routes once (see LocatorView) and
+  /// the outcome is charged to every one of its packets. Skips (and counts)
+  /// the tick when node_count < 2.
   void tick_sessions(const TickContext& ctx);
 
   /// Close any interruption window still open (sessions interrupted at run
@@ -147,11 +155,23 @@ class SessionWorkload {
     Time interrupted_since = 0.0;
   };
 
+  /// What every packet of one session meets this tick.
+  struct PacketFate {
+    bool delivered = false;
+    bool misrouted = false;      ///< resolved via a stale copy (chase leg)
+    bool undeliverable = false;  ///< genuine routing failure
+    bool recovered = false;      ///< delivered via recovery forwarding
+    PacketCount transmissions = 0;
+    PacketCount misroute_extra = 0;
+  };
+
   bool is_down(const TickContext& ctx, NodeId v) const {
     return ctx.down != nullptr && v < ctx.down->size() && (*ctx.down)[v] != 0;
   }
-  /// One packet of \p session; returns true when delivered.
-  bool send_packet(Live& session, const TickContext& ctx);
+  /// Resolve and route one packet of \p session (no stats touched).
+  PacketFate resolve(const Live& session, const TickContext& ctx);
+  /// Charge \p fate to \p packets packets.
+  void account(const PacketFate& fate, Size packets);
   void close_window(Live& session, Time now);
 
   SessionConfig config_;
@@ -159,6 +179,7 @@ class SessionWorkload {
   SessionStats stats_;
   std::vector<Live> live_;
   std::vector<double> windows_;  ///< closed interruption window lengths, s
+  routing::RoutingTables::Scratch route_scratch_;
 
   common::Counter* offered_c_ = nullptr;
   common::Counter* delivered_c_ = nullptr;

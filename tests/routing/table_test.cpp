@@ -135,6 +135,18 @@ TEST(MeasureStretch, RecoveriesAreRare) {
   EXPECT_LT(stats.recoveries, stats.sampled_pairs / 4);
 }
 
+TEST(MeasureStretch, EdgelessGraphTerminatesWithNoPairs) {
+  // Regression: unreachable draws never count toward the requested pairs,
+  // so a graph without a single connected pair used to spin forever.
+  const graph::Graph g(6, std::vector<graph::Edge>{});
+  const auto h = cluster::HierarchyBuilder().build(g);
+  const RoutingTables tables(g, h);
+  const auto stats = measure_stretch(tables, g, 50, 3);
+  EXPECT_EQ(stats.sampled_pairs, 0u);
+  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(stats.mean_stretch, 0.0);
+}
+
 TEST(RoutingTables, TinyNetworks) {
   // 2 nodes: single level-1 cluster, direct intra-cluster route.
   const graph::Graph g(2, std::vector<graph::Edge>{{0, 1}});

@@ -259,6 +259,117 @@ TEST(Sessions, DownEndpointsLosePacketsWithoutRouting) {
   EXPECT_GT(mirror.stats().sessions, workload.stats().sessions);
 }
 
+/// Scripted resolution that counts its calls.
+struct CountingLocator : LocatorView {
+  LocateOutcome outcome{LocateResult::kFresh, 0, kInvalidNode};
+  Size calls = 0;
+  LocateOutcome locate(NodeId /*dst*/) override {
+    ++calls;
+    return outcome;
+  }
+};
+
+TEST(Sessions, ResolvesEachLiveSessionOncePerTick) {
+  const auto w = make(120, 19);
+  const routing::RoutingTables tables(w.g, w.h);
+  SessionConfig cfg;
+  cfg.sessions_per_node_per_sec = 0.2;
+  cfg.mean_duration = 5.0;
+  cfg.packets_per_sec = 4.0;
+  SessionWorkload workload(cfg, 20);
+  CountingLocator locator;
+  SessionWorkload::TickContext ctx;
+  ctx.tables = &tables;
+  ctx.locator = &locator;
+  ctx.node_count = w.n;
+  ctx.dt = 1.0;
+  Size resolved = 0;
+  for (int t = 1; t <= 12; ++t) {
+    ctx.now = t;
+    const Size before = locator.calls;
+    workload.tick_sessions(ctx);
+    // Four packets per session, one locate() per live session.
+    EXPECT_EQ(locator.calls - before, workload.live_sessions()) << "tick " << t;
+    resolved += workload.live_sessions();
+  }
+  ASSERT_GT(resolved, 0u);
+  EXPECT_EQ(workload.stats().packets_offered, 4 * resolved);
+}
+
+/// Runs \p ticks ticks of a workload at \p packets_per_sec packets per
+/// one-second tick; from tick \p dark_from on, every even node is down.
+SessionStats run_at_rate(const routing::RoutingTables& tables, Size n, LocatorView* locator,
+                         double packets_per_sec, int ticks, int dark_from) {
+  SessionConfig cfg;
+  cfg.sessions_per_node_per_sec = 0.15;
+  cfg.mean_duration = 6.0;
+  cfg.packets_per_sec = packets_per_sec;
+  SessionWorkload workload(cfg, 22);
+  std::vector<std::uint8_t> down(n, 0);
+  SessionWorkload::TickContext ctx;
+  ctx.tables = &tables;
+  ctx.locator = locator;
+  ctx.down = &down;
+  ctx.node_count = n;
+  ctx.dt = 1.0;
+  for (int t = 1; t <= ticks; ++t) {
+    if (t == dark_from) {
+      for (Size v = 0; v < n; v += 2) down[v] = 1;
+    }
+    ctx.now = t;
+    workload.tick_sessions(ctx);
+  }
+  workload.finish(ticks + 1.0);
+  return workload.stats();
+}
+
+TEST(Sessions, PacketStatsScaleExactlyWithPacketsPerTick) {
+  // Every packet of a session meets the same fate within a tick, so four
+  // packets per tick must account exactly four times what one does, for
+  // each resolution outcome and for dark endpoints; session-level stats
+  // (admissions, interruption windows) must not move at all.
+  const auto w = make(140, 21);
+  const routing::RoutingTables tables(w.g, w.h);
+  struct Case {
+    const char* name;
+    LocateOutcome outcome;
+    int dark_from;
+  };
+  const Case cases[] = {
+      {"fresh", {LocateResult::kFresh, 0, kInvalidNode}, 1000},
+      {"stale", {LocateResult::kStaleHit, 7, 7}, 1000},
+      {"miss", {LocateResult::kMiss, kInvalidNode, kInvalidNode}, 1000},
+      {"down", {LocateResult::kFresh, 0, kInvalidNode}, 6},
+  };
+  for (const auto& c : cases) {
+    CountingLocator locator;
+    locator.outcome = c.outcome;
+    const auto one = run_at_rate(tables, w.n, &locator, 1.0, 12, c.dark_from);
+    const auto four = run_at_rate(tables, w.n, &locator, 4.0, 12, c.dark_from);
+    SCOPED_TRACE(c.name);
+    ASSERT_GT(one.packets_offered, 0u);
+    EXPECT_EQ(four.sessions, one.sessions);
+    EXPECT_EQ(four.packets_offered, 4 * one.packets_offered);
+    EXPECT_EQ(four.packets_delivered, 4 * one.packets_delivered);
+    EXPECT_EQ(four.packets_misrouted, 4 * one.packets_misrouted);
+    EXPECT_EQ(four.packets_lost, 4 * one.packets_lost);
+    EXPECT_EQ(four.undeliverable, 4 * one.undeliverable);
+    EXPECT_EQ(four.recovered, 4 * one.recovered);
+    EXPECT_EQ(four.data_transmissions, 4 * one.data_transmissions);
+    EXPECT_EQ(four.misroute_extra, 4 * one.misroute_extra);
+    EXPECT_EQ(four.interruptions, one.interruptions);
+    EXPECT_EQ(four.interruption_time, one.interruption_time);
+  }
+  // Each case actually exercised its outcome.
+  CountingLocator stale;
+  stale.outcome = cases[1].outcome;
+  EXPECT_GT(run_at_rate(tables, w.n, &stale, 1.0, 12, 1000).packets_misrouted, 0u);
+  CountingLocator fresh;
+  const auto dark = run_at_rate(tables, w.n, &fresh, 1.0, 12, 6);
+  EXPECT_GT(dark.packets_lost, 0u);
+  EXPECT_GT(dark.packets_delivered, 0u);
+}
+
 TEST(Poisson, MeanAndVarianceMatch) {
   common::Xoshiro256 rng(9);
   for (const double lambda : {0.5, 4.0, 100.0}) {

@@ -148,10 +148,15 @@ done
 grep -q '^## Session-riding handover FSM' "$arch" ||
     fail "docs/ARCHITECTURE.md lost its 'Session-riding handover FSM' chapter"
 for sym in HandoverManager HandoverObserver kRolledBack rollback_failures \
-           LocatorView; do
+           LocatorView 'RoutingTables::Scratch' 'reference_tables.hpp' \
+           'run_sanitizers.sh'; do
     grep -q "$sym" "$arch" ||
         fail "docs/ARCHITECTURE.md handover chapter no longer mentions $sym"
 done
+[ -f "$root/tests/routing/reference_tables.hpp" ] ||
+    fail "docs name the routing reference oracle but tests/routing/reference_tables.hpp is gone"
+[ -x "$root/tools/run_sanitizers.sh" ] ||
+    fail "docs name tools/run_sanitizers.sh but it is missing or not executable"
 grep -q 'bench_sessions' "$experiments" ||
     fail "EXPERIMENTS.md lost its bench_sessions (E29) section"
 grep -q 'manet-sessions/1' "$experiments" ||
