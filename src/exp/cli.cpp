@@ -243,8 +243,8 @@ std::string cli_usage(const std::string& program) {
          "                     disables the incremental pipeline)\n"
          "  --no-repair        incremental ticks rebuild changed hierarchies\n"
          "                     with HierarchyBuilder instead of localized repair\n"
-         "  --threads N        sharded-tick worker threads (default 1 = sequential,\n"
-         "                     0 = hardware); output is identical at any N\n"
+         "  --threads N        sharded-tick worker threads (default 1 = no pool, shards\n"
+         "                     run inline; 0 = hardware); output is identical at any N\n"
          "  --shards N         sharded-tick shard count (rounded up to a power of\n"
          "                     two, max 1024; default 0 = auto from the worker\n"
          "                     count); output is identical at any N\n"

@@ -28,7 +28,6 @@
 #include "net/lossy_channel.hpp"
 #include "net/unit_disk.hpp"
 #include "routing/table.hpp"
-#include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard.hpp"
 
@@ -149,25 +148,25 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   handoff.set_metrics(options.metrics);
   handoff.set_trace(options.trace);
 
-  // --- Sharded parallel tick (inert at threads == 1 && shards == 0, the
-  // default) --- One per-run pool + a runtime-topology executor: the heavy
-  // per-tick phases (unit-disk delta, link diffing, pricing) shard over a
+  // --- Sharded tick --- One per-run executor: the heavy per-tick phases
+  // (unit-disk delta, link diffing, pricing, the query plane) shard over a
   // grid resolved from RunOptions::shards (0 = auto from the worker count;
   // sim::resolve_shard_count), and per-shard outputs merge in shard index
-  // order — so every artifact of the run is bit-identical to the sequential
-  // tick regardless of options.threads AND options.shards (see
-  // sim/shard.hpp). An explicit shard request with threads == 1 runs the
-  // sharded path on a one-worker pool, which the cross-shard-count identity
-  // suite uses to pin the {S} x {1} cells.
+  // order — so every artifact of the run is bit-identical regardless of
+  // options.threads AND options.shards (see sim/shard.hpp). A pool exists
+  // only when threads != 1; at threads == 1 the shards run inline on this
+  // thread — one shard by default, or the explicit request, which the
+  // cross-shard-count identity suite uses to pin the {S} x {1} cells.
   std::unique_ptr<common::ThreadPool> tick_pool;
-  std::unique_ptr<sim::ShardExecutor> tick_shards;
-  if (options.threads != 1 || options.shards != 0) {
-    tick_pool = std::make_unique<common::ThreadPool>(options.threads);
-    tick_shards = std::make_unique<sim::ShardExecutor>(
-        *tick_pool, sim::resolve_shard_count(options.shards, tick_pool->thread_count()));
-    disk.set_parallel(tick_shards.get());
-    handoff.set_parallel(tick_shards.get());
-  }
+  if (options.threads != 1) tick_pool = std::make_unique<common::ThreadPool>(options.threads);
+  sim::ShardExecutor tick_shards =
+      tick_pool != nullptr
+          ? sim::ShardExecutor(*tick_pool, sim::resolve_shard_count(
+                                               options.shards, tick_pool->thread_count()))
+          : sim::ShardExecutor(options.shards != 0 ? sim::resolve_shard_count(options.shards, 1)
+                                                   : 1);
+  disk.set_parallel(&tick_shards);
+  handoff.set_parallel(&tick_shards);
   cluster::StateChainTracker states;
   cluster::HeadLifetimeTracker tenures;
   common::Xoshiro256 hop_rng(common::derive_seed(cfg.seed, 0xB0F5));
@@ -238,17 +237,16 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   // without it). Each measured tick publishes one epoch and serves
   // query_load lookups whose targets are a pure function of the global
   // lookup index. Partial hit counts and digest contributions are computed
-  // per slice of the run's OWN shard topology (one slice on the sequential
-  // path) and folded with commutative, associative operations (integer sum,
-  // wrapping sum), so the query_* metrics are invariant to how the lookup
-  // range is partitioned — never a function of options.threads or
-  // options.shards.
+  // per slice of the run's shard topology and folded with commutative,
+  // associative operations (integer sum, wrapping sum), so the query_*
+  // metrics are invariant to how the lookup range is partitioned — never a
+  // function of options.threads or options.shards.
   std::unique_ptr<lm::QueryEngine> query_engine;
   std::vector<Size> query_shard_hits;
   std::vector<std::uint64_t> query_shard_digests;
   Size query_lookups = 0, query_hits = 0;
   std::uint64_t query_digest = 0x9E3779B97F4A7C15ULL;
-  const Size query_shards = tick_shards != nullptr ? tick_shards->shard_count() : 1;
+  const Size query_shards = tick_shards.shard_count();
   if (options.query_load > 0) {
     query_engine = std::make_unique<lm::QueryEngine>(cfg.handoff.select);
     query_shard_hits.assign(query_shards, 0);
@@ -291,7 +289,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   // in floating point drifts for ticks without an exact binary representation
   // (0.1 summed ten times is not 1.0) and eventually skips or repeats a
   // warmup step on long horizons.
-  sim::Engine engine;
   const auto warmup_ticks = static_cast<Size>(std::floor(cfg.warmup / cfg.tick + 1e-9));
   for (Size i = 1; i <= warmup_ticks; ++i) {
     scenario.mobility->advance_to(static_cast<Time>(i) * cfg.tick);
@@ -328,7 +325,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   }
   net::LinkTracker links(*g, t0);
   links.set_metrics(options.metrics);
-  if (tick_shards) links.set_parallel(tick_shards.get());
+  links.set_parallel(&tick_shards);
   if (gls) gls->prime(scenario.mobility->positions(), scenario.ids, t0);
 
   std::unique_ptr<lm::RegistrationTracker> registration;
@@ -342,7 +339,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     if (faulted) registration->set_resilience(arq.get(), &down);
   }
 
-  // --- Measured window, driven by a recurring tick event ---
+  // --- Measured window: one loop iteration per tick ---
   // Accumulators for level-k link dynamics and event taxonomy.
   std::vector<double> ek_time_sum;      // sum over ticks of |E_k|
   std::vector<Size> ek_ticks;           // ticks where level k existed
@@ -376,16 +373,23 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       faulted ? std::max<Size>(1, static_cast<Size>(std::lround(cfg.fault.audit_period /
                                                                 cfg.tick)))
               : 0;
-  engine.set_trace_sink(options.trace);
-  engine.run_until(t0);
+  // The i-th measured tick runs at t0 + i * tick (one multiply per tick —
+  // no accumulated rounding), and exactly total_ticks of them run, so the
+  // measured sample count is a pure function of (duration, tick) on any
+  // horizon. The last product can round a hair past warmup + duration, so
+  // the run ends at whichever of the two is later: end-of-run stamps (the
+  // final audit, open session windows) never precede the last tick.
+  const auto total_ticks = static_cast<Size>(std::floor(cfg.duration / cfg.tick + 1e-9));
+  const Time t_end = std::max(horizon, t0 + static_cast<Time>(total_ticks) * cfg.tick);
   // Reused across ticks: the freshly built hierarchy and the diff scratch
   // (their internal buffers survive moves/clears, so changed steady-state
   // ticks stop growing the heap).
   cluster::Hierarchy next;
   cluster::HierarchyDelta delta;
   net::LinkDelta link_delta;
-  auto tick_fn = [&] {
-    const Time now = engine.now();
+  const auto alloc_at_measure = common::alloc_profile::totals();
+  for (Size i = 1; i <= total_ticks; ++i) {
+    const Time now = t0 + static_cast<Time>(i) * cfg.tick;
     scenario.mobility->advance_to(now);
 
     bool topo_changed = true;  // full-rebuild path treats every tick as changed
@@ -475,12 +479,14 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
 
     if (options.track_events && rebuild) {
       cluster::diff_hierarchies(hier, next, delta);
-      if (engine.tracing()) {
+      if (options.trace != nullptr) {
         for (const auto& m : delta.migrations) {
-          engine.emit(sim::TraceEventType::kMigration, m.level, m.node, m.to_head);
+          options.trace->record(sim::TraceEvent{now, sim::TraceEventType::kMigration, m.level,
+                                                m.node, m.to_head, 0.0});
         }
         for (const auto& ev : delta.events) {
-          engine.emit(trace_type_of(ev.type), ev.level, ev.a, ev.b);
+          options.trace->record(
+              sim::TraceEvent{now, trace_type_of(ev.type), ev.level, ev.a, ev.b, 0.0});
         }
       }
       for (std::size_t type = 0; type < cluster::kReorgEventTypeCount; ++type) {
@@ -530,9 +536,8 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       sessions->tick_sessions(sctx);
     }
     // Query-serving plane: the tick's write phase is done — publish the new
-    // epoch and serve this tick's lookup load against it (sharded over the
-    // tick executor when one exists; the sequential path serves the whole
-    // range as one slice — the commutative fold makes both identical).
+    // epoch and serve this tick's lookup load against it, sharded over the
+    // tick executor (the commutative fold makes every topology identical).
     if (query_engine) {
       query_engine->publish(hier, handoff.database(), now);
       const std::uint64_t tick_base =
@@ -554,8 +559,8 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
           // Per-lookup contribution folded with a wrapping sum. Unlike the
           // old chained-FNV-per-slice scheme, a sum of per-lookup mixes is
           // commutative and associative, so the digest is invariant to how
-          // [0, query_load) is partitioned: any shard count, any thread
-          // count and the sequential path all fold to the same word.
+          // [0, query_load) is partitioned: any shard count and any thread
+          // count fold to the same word.
           const std::uint64_t answer = (static_cast<std::uint64_t>(r.server) << 32) ^
                                        r.version ^ (r.found ? 1ULL : 0ULL);
           digest += common::mix64(gq ^ common::mix64(answer));
@@ -563,11 +568,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
         query_shard_hits[shard] = hits;
         query_shard_digests[shard] = digest;
       };
-      if (tick_shards) {
-        tick_shards->for_each_shard(serve_shard);
-      } else {
-        serve_shard(0);  // query_shards == 1: the whole range, one slice
-      }
+      tick_shards.for_each_shard(serve_shard);
       Size tick_hits = 0;
       for (Size shard = 0; shard < query_shards; ++shard) {
         tick_hits += query_shard_hits[shard];
@@ -593,18 +594,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       options.metrics->counter("sim.ticks").add(1);
       options.metrics->gauge("sim.now").set(now);
     }
-  };
-  // The i-th measured tick fires at t0 + i * tick (one multiply per tick —
-  // no accumulated rounding), and exactly total_ticks of them are scheduled,
-  // so the measured sample count is a pure function of (duration, tick) on
-  // any horizon. The horizon is widened by an ulp-sized max() because the
-  // last product can round a hair past warmup + duration.
-  const auto total_ticks = static_cast<Size>(std::floor(cfg.duration / cfg.tick + 1e-9));
-  for (Size i = 1; i <= total_ticks; ++i) {
-    engine.schedule_at(t0 + static_cast<Time>(i) * cfg.tick, tick_fn);
   }
-  const auto alloc_at_measure = common::alloc_profile::totals();
-  engine.run_until(std::max(horizon, t0 + static_cast<Time>(total_ticks) * cfg.tick));
 
   // Per-phase allocator traffic. Guarded on enabled() so that default builds
   // publish nothing and every artifact stays byte-identical to an
@@ -626,10 +616,11 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
 
   // Sharded-tick telemetry: fold the per-shard par.* counters into the run
   // registry. The values are pure functions of the workload and the fixed
-  // shard grid — identical at every thread count >= 2 (the sequential path
-  // has no executor and publishes none, like alloc.* in default builds).
-  if (tick_shards != nullptr && options.metrics != nullptr) {
-    tick_shards->merge_metrics_into(*options.metrics);
+  // shard grid — identical at every thread count. The default topology
+  // (threads == 1, no shard request) publishes none, like alloc.* in
+  // default builds, so its registry carries no executor-specific names.
+  if ((options.threads != 1 || options.shards != 0) && options.metrics != nullptr) {
+    tick_shards.merge_metrics_into(*options.metrics);
   }
 
   // --- Flatten metrics ---
@@ -759,7 +750,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   if (faulted) {
     // Final repair pass + consistency probe: the acceptance bar is that the
     // repair path restores query success after sustained loss.
-    handoff.audit_repair(*g, horizon);
+    handoff.audit_repair(*g, t_end);
     const double query_final = handoff.query_probe(*probe_rng, cfg.fault.probe_pairs);
     const auto& resil = handoff.resilience();
     out.set("crashes", static_cast<double>(crash_events));
@@ -788,7 +779,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   }
 
   if (cfg.sessions) {
-    sessions->finish(horizon);  // close windows still open at run end
+    sessions->finish(t_end);  // close windows still open at run end
     const auto& ss = sessions->stats();
     out.set("sessions", static_cast<double>(ss.sessions));
     out.set("session_rate", ss.rate(cfg.n));

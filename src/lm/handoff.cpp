@@ -96,7 +96,7 @@ LevelOverhead& HandoffEngine::ledger(Level k) {
 std::uint32_t HandoffEngine::hops_between(const graph::Graph& g0, NodeId from, NodeId to) {
   // All branches are exact on g0, so this dispatch can never change a
   // priced value — only how fast it is produced. The batch cache (filled by
-  // batch_price_pairs under a sharded executor) is consulted first; hop
+  // batch_price_pairs on ARQ-free updates) is consulted first; hop
   // distance is symmetric, so the canonical pair key covers both directions.
   if (!price_keys_.empty()) {
     const std::uint64_t key = pack_pair(from, to);
@@ -145,9 +145,10 @@ void HandoffEngine::batch_price_pairs(const graph::Graph& g0, const Snapshot& ne
   if (price_keys_.empty()) return;
 
   price_vals_.resize(price_keys_.size());
-  const Size shards = par_->shard_count();
+  auto& par = exec_.get();
+  const Size shards = par.shard_count();
   if (par_scratch_.size() < shards) par_scratch_.resize(shards);
-  par_->for_each_shard([&](Size s) {
+  par.for_each_shard([&](Size s) {
     const auto [begin, end] = sim::ShardExecutor::slice(price_keys_.size(), s, shards);
     auto& scratch = par_scratch_[s];
     for (Size i = begin; i < end; ++i) {
@@ -156,7 +157,7 @@ void HandoffEngine::batch_price_pairs(const graph::Graph& g0, const Snapshot& ne
       price_vals_[i] = oracle_.ready() ? oracle_.hops(a, b, scratch)
                                        : scratch.pair_bfs.hops(g0, a, b);
     }
-    par_->metrics(s).counter("par.priced_pairs").add(end - begin);
+    par.metrics(s).counter("par.priced_pairs").add(end - begin);
   });
 }
 
@@ -331,10 +332,11 @@ HandoffEngine::TickResult HandoffEngine::update(const cluster::Hierarchy& h,
   const Snapshot& next = next_scratch_;
   TickResult tick;
 
-  // Sharded pricing: compute every hop distance the loop below will ask for
-  // up front, in parallel. Gated off the ARQ path (lossy transfers consume
-  // RNG in loop order) and the unit metric (which never prices hops).
-  if (par_ != nullptr && arq_ == nullptr && config_.metric == HopMetric::kBfsExact) {
+  // Batch pricing: compute every distinct hop distance the loop below will
+  // ask for up front, sharded over the executor. Gated off the ARQ path
+  // (lossy transfers consume RNG in loop order) and the unit metric (which
+  // never prices hops).
+  if (arq_ == nullptr && config_.metric == HopMetric::kBfsExact) {
     batch_price_pairs(g0, next);
   }
 

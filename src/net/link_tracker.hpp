@@ -76,10 +76,10 @@ class LinkTracker {
   void set_metrics(common::MetricsRegistry* registry);
 
   /// Shard the two edge-set differences of update_into() over \p executor
-  /// (nullptr = sequential, the default). The sharded diff is bit-identical
-  /// to the sequential one — per-shard outputs concatenate in shard index
-  /// order — so attaching an executor never changes a delta.
-  void set_parallel(sim::ShardExecutor* executor) noexcept { par_ = executor; }
+  /// (nullptr = the tracker's own one-shard inline executor, the default).
+  /// Per-shard outputs concatenate in shard index order, so the delta is the
+  /// same under every executor.
+  void set_parallel(sim::ShardExecutor* executor) noexcept { exec_.attach(executor); }
 
  private:
   std::vector<graph::Edge> prev_edges_;
@@ -90,16 +90,12 @@ class LinkTracker {
   common::MetricsRegistry* metrics_ = nullptr;
   common::Counter* up_c_ = nullptr;
   common::Counter* down_c_ = nullptr;
-  sim::ShardExecutor* par_ = nullptr;
+  sim::ExecutorSlot exec_;
   ShardedEdgeDiff diff_;
 };
 
 /// Set-difference of two canonical sorted edge lists (a \ b).
 std::vector<graph::Edge> edge_difference(std::span<const graph::Edge> a,
                                          std::span<const graph::Edge> b);
-
-/// Same, appending to \p out (not cleared; callers clear to reuse capacity).
-void edge_difference_into(std::span<const graph::Edge> a, std::span<const graph::Edge> b,
-                          std::vector<graph::Edge>& out);
 
 }  // namespace manet::net

@@ -72,13 +72,13 @@ class UnitDiskBuilder {
 
   /// Shard the heavy update() phases — full-rescan pair enumeration,
   /// per-moved-node neighborhood recomputation, edge-buffer refresh,
-  /// fallback edge diffing — over \p executor (nullptr = sequential, the
-  /// default). Sharding is by shard index with per-shard outputs
-  /// concatenated in shard order, so the maintained graph and the ups/downs
-  /// delta are bit-identical to the sequential build at any shard count x
+  /// fallback edge diffing — over \p executor (nullptr = the builder's own
+  /// one-shard inline executor, the default). Sharding is by shard index
+  /// with per-shard outputs concatenated in shard order, so the maintained
+  /// graph and the ups/downs delta are bit-identical at any shard count x
   /// any thread count (the executor's shard_count() is a pure throughput
   /// knob here).
-  void set_parallel(sim::ShardExecutor* executor) noexcept { par_ = executor; }
+  void set_parallel(sim::ShardExecutor* executor) noexcept { exec_.attach(executor); }
 
   /// True when the last update() took a full-rescan path (a (re)seed or the
   /// exact > n/4 fallback) rather than point updates. Test hook for the
@@ -136,8 +136,8 @@ class UnitDiskBuilder {
   std::vector<graph::Edge> edge_buffer_;
   Size last_augmented_ = 0;
 
-  /// Refresh state_'s anchored-cell array from the (just rebuilt) grid;
-  /// sharded over par_ when attached (independent per-node writes).
+  /// Refresh state_'s anchored-cell array from the (just rebuilt) grid,
+  /// sharded over the executor (independent per-node writes).
   void refresh_cells();
 
   // --- Incremental state (valid while inc_valid_) ---
@@ -161,11 +161,11 @@ class UnitDiskBuilder {
   Size last_moved_ = 0;
   std::vector<graph::Edge> ups_, downs_;
   // Scratch reused across ticks so steady-state updates allocate nothing.
-  std::vector<NodeId> moved_scratch_, nbr_scratch_, new_nbrs_;
+  std::vector<NodeId> moved_scratch_;
   std::vector<graph::Edge> old_edges_scratch_, bridge_scratch_, combine_scratch_;
-  // Sharded-update state (inert while par_ == nullptr). Per-shard output
-  // and scratch buffers, reused across ticks like the sequential scratch.
-  sim::ShardExecutor* par_ = nullptr;
+  // The executor every sharded phase runs on, and its per-shard output and
+  // scratch buffers (reused across ticks).
+  sim::ExecutorSlot exec_;
   std::vector<std::vector<graph::Edge>> shard_pairs_, shard_ups_, shard_downs_;
   std::vector<std::vector<NodeId>> shard_nbr_, shard_fresh_;
   ShardedEdgeDiff diff_;

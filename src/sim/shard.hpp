@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <exception>
 #include <functional>
 #include <utility>
 
@@ -9,22 +10,24 @@
 #include "common/types.hpp"
 
 /// \file shard.hpp
-/// Deterministic intra-run parallelism: a runtime-chosen shard decomposition
-/// over a borrowed worker pool.
+/// Deterministic intra-run parallelism: a runtime-chosen shard decomposition,
+/// run inline on the caller or over a borrowed worker pool.
 ///
 /// The tick pipeline's heavy phases (unit-disk pair enumeration, link-set
 /// differences, batch hop pricing) are data-parallel over an index space
 /// that already has a canonical sequential order. ShardExecutor splits that
 /// space into a number of contiguous shards fixed for the executor's
-/// lifetime — decoupled from the thread count — and runs one task per shard
-/// on the pool. Each shard writes its own output buffer; callers concatenate
-/// the buffers in shard index order, which reproduces the sequential
-/// iteration order exactly. The result is bit-identical to the sequential
-/// build at ANY shard count x ANY thread count (the sharded-tick identity
-/// suite pins shards {1, 4, 16, 64} x threads {1, 2, 8}), so the shard
-/// count is a pure throughput knob: RunOptions::shards / --shards picks it
-/// per run (resolve_shard_count(), power-of-two rounded, 0 = auto from the
-/// worker count).
+/// lifetime — decoupled from the thread count — and runs one task per shard,
+/// either on the pool or, with no pool, in shard index order on the calling
+/// thread (the inline mode; a default-constructed executor is one inline
+/// shard). Each shard writes its own output buffer; callers concatenate the
+/// buffers in shard index order, which reproduces the canonical iteration
+/// order exactly. The result is therefore the same at ANY shard count x ANY
+/// thread count (the sharded-tick identity suite pins shards {1, 4, 16, 64}
+/// x threads {1, 2, 8}), so the shard count is a pure throughput knob:
+/// RunOptions::shards / --shards picks it per run (resolve_shard_count(),
+/// power-of-two rounded, 0 = auto from the worker count). The executor is
+/// the only execution path of those phases — there is no sequential twin.
 ///
 /// Telemetry follows the same discipline through the per-shard
 /// common::MetricsRegistry shards (common::ShardedMetrics): shard i is
@@ -66,6 +69,11 @@ inline Size resolve_shard_count(Size requested, Size workers) noexcept {
 
 class ShardExecutor {
  public:
+  /// Inline executor: no pool; for_each_shard() runs the \p shard_count
+  /// shards in index order on the calling thread.
+  explicit ShardExecutor(Size shard_count = 1)
+      : shard_count_(shard_count), metrics_(shard_count) {}
+
   /// Shards the run over \p pool. \p shard_count is fixed for the executor's
   /// lifetime; it should modestly exceed the largest thread count in use so
   /// slow shards rebalance, but stay O(tens) — per-shard buffers are
@@ -74,12 +82,26 @@ class ShardExecutor {
       : pool_(&pool), shard_count_(shard_count), metrics_(shard_count) {}
 
   Size shard_count() const noexcept { return shard_count_; }
-  Size thread_count() const noexcept { return pool_->thread_count(); }
+  Size thread_count() const noexcept { return pool_ != nullptr ? pool_->thread_count() : 1; }
 
-  /// Run fn(shard) for every shard in [0, shard_count) across the pool and
-  /// block until all complete. Exceptions propagate (first in shard order).
+  /// Run fn(shard) for every shard in [0, shard_count) and block until all
+  /// complete: across the pool, or inline in shard index order. Either way
+  /// every shard runs, and the first exception in shard order propagates
+  /// once they have.
   void for_each_shard(const std::function<void(Size)>& fn) const {
-    pool_->parallel_for(shard_count_, fn);
+    if (pool_ != nullptr) {
+      pool_->parallel_for(shard_count_, fn);
+      return;
+    }
+    std::exception_ptr first_error;
+    for (Size shard = 0; shard < shard_count_; ++shard) {
+      try {
+        fn(shard);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
   }
 
   /// Contiguous slice [begin, end) of an n-element index space owned by
@@ -103,9 +125,24 @@ class ShardExecutor {
   }
 
  private:
-  common::ThreadPool* pool_;
+  common::ThreadPool* pool_ = nullptr;  ///< nullptr: inline mode
   Size shard_count_;
   mutable common::ShardedMetrics metrics_;
+};
+
+/// A component's executor: its own one-shard inline executor until a shared
+/// one is attached. Holds no pointer into itself, so the owning component
+/// stays movable.
+class ExecutorSlot {
+ public:
+  /// Use \p shared (not owned) from now on; nullptr restores the own inline
+  /// executor.
+  void attach(ShardExecutor* shared) noexcept { shared_ = shared; }
+  ShardExecutor& get() noexcept { return shared_ != nullptr ? *shared_ : own_; }
+
+ private:
+  ShardExecutor own_;
+  ShardExecutor* shared_ = nullptr;
 };
 
 }  // namespace manet::sim

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+
+#include "common/metrics.hpp"
+#include "sim/trace.hpp"
 
 namespace manet::exp {
 namespace {
@@ -183,17 +187,63 @@ TEST(RunSimulation, SparseRetryLoopActuallyRetries) {
 TEST(RunSimulation, TickCountExactOnLongFractionalHorizons) {
   // 0.1 has no exact binary representation; the old warmup/tick loops
   // accumulated it and could drift a full tick off over long horizons. The
-  // measured sample count must be exactly duration / tick.
+  // measured sample count must be exactly duration / tick, and the i-th
+  // tick runs at warmup + i * tick — one multiply, never a running sum.
   auto cfg = quick_config(60, 31);
   cfg.tick = 0.1;
   cfg.warmup = 12.3;
   cfg.duration = 30.0;
-  const auto m = run_simulation(cfg);
+  common::MetricsRegistry registry;
+  RunOptions opts;
+  opts.metrics = &registry;
+  const auto m = run_simulation(cfg, opts);
   EXPECT_DOUBLE_EQ(m.get("ticks"), 300.0);
+  EXPECT_EQ(registry.counter("sim.ticks").value(), 300u);
+  const double last_tick = 12.3 + 300.0 * 0.1;
+  double accumulated = 12.3;
+  for (int i = 0; i < 300; ++i) accumulated += 0.1;
+  ASSERT_NE(last_tick, accumulated);  // the two clocks really differ here
+  EXPECT_EQ(registry.gauge("sim.now").value(), last_tick);
 
   cfg.duration = 60.0;
   const auto longer = run_simulation(cfg);
   EXPECT_DOUBLE_EQ(longer.get("ticks"), 600.0);
+}
+
+TEST(RunSimulation, TraceTimestampsNeverDecrease) {
+  // warmup 3.3 + 29 ticks of 0.1: the last tick runs at 3.3 + 29 * 0.1 =
+  // 6.2000000000000002, one ulp past warmup + duration = 6.1999999999999993.
+  // The end-of-run audit (repair events) and session close-out must be
+  // stamped with the loop's end time, never before the last tick's events.
+  ASSERT_GT(3.3 + 29.0 * 0.1, 3.3 + 2.9);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    auto cfg = quick_config(128, seed);
+    cfg.target_degree = 10.0;
+    cfg.warmup = 3.3;
+    cfg.tick = 0.1;
+    cfg.duration = 2.9;
+    cfg.fault.loss = 0.2;
+    cfg.fault.crash_rate = 0.05;
+    cfg.fault.mean_downtime = 1.0;
+    cfg.sessions = true;
+    sim::TraceSink sink(sim::TraceSink::Config{1u << 18, 1});
+    RunOptions opts;
+    opts.trace = &sink;
+    run_simulation(cfg, opts);
+    ASSERT_EQ(sink.dropped(), 0u);
+    const auto events = sink.snapshot();
+    ASSERT_FALSE(events.empty());
+    Size repairs = 0;
+    for (Size i = 1; i < events.size(); ++i) {
+      ASSERT_GE(events[i].t, events[i - 1].t)
+          << std::setprecision(17) << "seed " << seed << ": event " << i << " ("
+          << sim::to_string(events[i].type) << ", t = " << events[i].t
+          << ") precedes event " << i - 1 << " (" << sim::to_string(events[i - 1].type)
+          << ", t = " << events[i - 1].t << ")";
+      if (events[i].type == sim::TraceEventType::kRepair) ++repairs;
+    }
+    EXPECT_GT(repairs, 0u) << "seed " << seed << " never exercised the repair path";
+  }
 }
 
 TEST(RunSimulation, GroupMobilityRuns) {

@@ -3,10 +3,15 @@
 /// [0, n) exactly — concatenating the per-shard slices in shard index order
 /// reproduces the canonical sequential order — for EVERY (n, shard_count)
 /// pair, including the degenerate ones (empty index space, fewer items than
-/// shards, a single shard, and counts that do not divide n).
+/// shards, a single shard, and counts that do not divide n). Plus the two
+/// execution modes: inline (no pool; shards run on the caller in index
+/// order) and pooled, with the same exception contract.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -111,6 +116,64 @@ TEST(ResolveShardCount, AutoOversubscribesWorkersWithDefaultFloor) {
   EXPECT_EQ(sim::resolve_shard_count(0, 4), sim::kDefaultShardCount);
   EXPECT_EQ(sim::resolve_shard_count(0, 8), 32u);
   EXPECT_EQ(sim::resolve_shard_count(0, 16), 64u);
+}
+
+TEST(ShardExecutor, DefaultConstructedIsOneInlineShard) {
+  const sim::ShardExecutor exec;
+  EXPECT_EQ(exec.shard_count(), 1u);
+  EXPECT_EQ(exec.thread_count(), 1u);
+  std::vector<Size> fired;
+  exec.for_each_shard([&](Size shard) { fired.push_back(shard); });
+  EXPECT_EQ(fired, std::vector<Size>{0});
+}
+
+TEST(ShardExecutor, InlineShardsRunOnTheCallerInIndexOrder) {
+  const sim::ShardExecutor exec(8);
+  EXPECT_EQ(exec.shard_count(), 8u);
+  EXPECT_EQ(exec.thread_count(), 1u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<Size> order;
+  exec.for_each_shard([&](Size shard) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "shard " << shard;
+    order.push_back(shard);
+  });
+  EXPECT_EQ(order, (std::vector<Size>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ShardExecutor, InlineRethrowsFirstExceptionInShardOrderAfterAllShards) {
+  // Same contract as the pool: every shard runs, then the lowest-index
+  // failure propagates.
+  const sim::ShardExecutor inline_exec(6);
+  common::ThreadPool pool(2);
+  const sim::ShardExecutor pooled(pool, 6);
+  for (const sim::ShardExecutor* exec : {&inline_exec, &pooled}) {
+    std::vector<int> fired(6, 0);
+    try {
+      exec->for_each_shard([&](Size shard) {
+        fired[shard] = 1;
+        if (shard == 2 || shard == 4) throw std::runtime_error("shard " + std::to_string(shard));
+      });
+      ADD_FAILURE() << "no exception propagated";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 2");
+    }
+    EXPECT_EQ(fired, std::vector<int>(6, 1));
+  }
+}
+
+TEST(ExecutorSlot, FallsBackToOwnInlineExecutorAndSurvivesMoves) {
+  common::ThreadPool pool(2);
+  sim::ShardExecutor shared(pool, 4);
+  sim::ExecutorSlot slot;
+  EXPECT_EQ(slot.get().shard_count(), 1u);
+  slot.attach(&shared);
+  EXPECT_EQ(&slot.get(), &shared);
+  slot.attach(nullptr);
+  EXPECT_EQ(slot.get().shard_count(), 1u);
+  // A moved-to slot still reaches its own executor, not the moved-from one.
+  sim::ExecutorSlot moved = std::move(slot);
+  EXPECT_EQ(moved.get().shard_count(), 1u);
+  EXPECT_NE(&moved.get(), &slot.get());
 }
 
 TEST(ShardExecutor, RuntimeShardCountDrivesForEachShard) {

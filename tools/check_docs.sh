@@ -123,7 +123,7 @@ fi
 #    bench_memory acceptance gate (E27) keeps its baseline + scalars.
 grep -q '^## Memory layer' "$arch" ||
     fail "docs/ARCHITECTURE.md lost its 'Memory layer' chapter"
-for sym in FlatMap ArenaScratch EventClosure MANET_PROFILE_ALLOC \
+for sym in FlatMap ArenaScratch MANET_PROFILE_ALLOC \
            max_allocs_per_tick; do
     grep -q "$sym" "$arch" ||
         fail "docs/ARCHITECTURE.md memory chapter no longer mentions $sym"
