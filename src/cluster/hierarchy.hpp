@@ -1,8 +1,10 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cluster/election.hpp"
+#include "geom/vec2.hpp"
 #include "graph/graph.hpp"
 
 /// \file hierarchy.hpp
@@ -17,6 +19,29 @@
 /// differ (cluster/diff.hpp) and the LM handoff engine (lm/handoff.hpp).
 
 namespace manet::cluster {
+
+/// Hierarchy assembly configuration, shared by every producer
+/// (HierarchyBuilder, HierarchyRepairer).
+struct HierarchyOptions {
+  /// Hard cap on clustered levels above level 0 (safety bound; the natural
+  /// termination is aggregation to a single vertex). 32 >> log2 of any n
+  /// this library targets.
+  Level max_levels = 32;
+
+  /// Level-k (k >= 1) link model. When false, two clusterheads are linked
+  /// iff their member clusters are adjacent in the level-(k-1) topology —
+  /// the naive graph-contraction rule. That rule is hair-triggered under
+  /// mobility (a single boundary link flips cluster adjacency), which
+  /// violates the paper's cluster-dynamics model: Section 5.3.1 requires a
+  /// level-k link to persist until the heads drift apart by Theta(h_k), and
+  /// eq. (7) writes the threshold explicitly as Theta(R_TX * sqrt(c_k)).
+  /// When true (and level-0 positions are supplied), level-k links connect
+  /// heads within beta * R_TX * sqrt(mean c_k) meters — the geometric
+  /// hysteresis the analysis assumes.
+  bool geometric_links = false;
+  double beta = 1.0;       ///< link-range multiplier for geometric links
+  double tx_radius = 1.0;  ///< R_TX used by the geometric threshold
+};
 
 /// One level of the hierarchy. Vertices are dense [0, |V_k|); `ids` maps
 /// them back to *original* level-0 node identifiers, which is what election
@@ -77,6 +102,27 @@ class Hierarchy {
  private:
   friend class HierarchyBuilder;
   friend class HierarchyRepairer;
+
+  // Assembly (paper Section 2.1), the one path every producer takes:
+  // reset() installs level 0; then, per level k, the producer writes
+  // level(k).election by its own means and calls promote(k); seal() closes
+  // the terminal level. Producers differ only in how they elect.
+
+  /// Clear the snapshot and install level 0: topology \p g, ids \p ids
+  /// (identity when empty), singleton member sets, identity ancestors.
+  void reset(const graph::Graph& g, std::span<const NodeId> ids);
+
+  /// Promote the clusterheads of level k's election to level k+1: dense
+  /// reindex and parent pointers, level-(k+1) ids/node0, level-(k+1) links
+  /// (eq. (7) geometric threshold or contraction, per \p options) and the
+  /// children/member/ancestor rollups. Returns false — with level k's
+  /// election cleared, leaving k the terminal level — when the election
+  /// aggregates nothing (every vertex heads itself).
+  bool promote(Level k, const HierarchyOptions& options,
+               std::span<const geom::Vec2> positions);
+
+  /// Mark the last level terminal: no parent for any of its vertices.
+  void seal();
 
   std::vector<LevelView> levels_;
   /// ancestor_[k][v] for level-0 node v; ancestor_[0] is identity.

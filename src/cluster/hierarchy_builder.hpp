@@ -9,33 +9,14 @@
 /// \file hierarchy_builder.hpp
 /// Recursive construction of the clustered hierarchy (paper Section 2.1):
 /// run the election on level k, promote the clusterheads to level k+1,
-/// connect two level-(k+1) vertices when their level-k clusters are adjacent,
+/// connect two level-(k+1) vertices when their level-k clusters are adjacent
+/// (or, with geometric links, when the heads are within the eq. (7) range),
 /// and repeat until the topology stops aggregating (single vertex, or no
 /// reduction — the latter happens only on degenerate/disconnected levels).
+/// Everything but the election is Hierarchy's own assembly, shared with
+/// HierarchyRepairer.
 
 namespace manet::cluster {
-
-/// Builder configuration.
-struct HierarchyOptions {
-  /// Hard cap on clustered levels above level 0 (safety bound; the natural
-  /// termination is aggregation to a single vertex). 32 >> log2 of any n
-  /// this library targets.
-  Level max_levels = 32;
-
-  /// Level-k (k >= 1) link model. When false, two clusterheads are linked
-  /// iff their member clusters are adjacent in the level-(k-1) topology —
-  /// the naive graph-contraction rule. That rule is hair-triggered under
-  /// mobility (a single boundary link flips cluster adjacency), which
-  /// violates the paper's cluster-dynamics model: Section 5.3.1 requires a
-  /// level-k link to persist until the heads drift apart by Theta(h_k), and
-  /// eq. (7) writes the threshold explicitly as Theta(R_TX * sqrt(c_k)).
-  /// When true (and positions are supplied to build()), level-k links
-  /// connect heads within beta * R_TX * sqrt(mean c_k) meters — the
-  /// geometric hysteresis the analysis assumes.
-  bool geometric_links = false;
-  double beta = 1.0;       ///< link-range multiplier for geometric links
-  double tx_radius = 1.0;  ///< R_TX used by the geometric threshold
-};
 
 class HierarchyBuilder {
  public:
@@ -52,21 +33,8 @@ class HierarchyBuilder {
   /// identity assignment id(v) = v. \p positions (level-0 node coordinates)
   /// are required when Options::geometric_links is set and ignored
   /// otherwise.
-  ///
-  /// \p reuse (optional): the hierarchy produced by the *previous* build
-  /// over the same node population. Elections are pure functions of a
-  /// level's (topology, ids), so whenever a level's inputs are unchanged
-  /// from the prior snapshot the cached ElectionResult is copied instead of
-  /// re-run, and — while the whole prefix of levels below is unchanged —
-  /// the children/member/ancestor rollups are copied rather than resorted.
-  /// The output is bit-identical to a from-scratch build; \p reuse only
-  /// short-circuits work. This is the incremental tick pipeline's seeding
-  /// path: a tick whose level-0 edge delta is empty but whose positions
-  /// drifted re-runs, at most, the cheap upper-level elections whose
-  /// geometric links actually flipped.
   Hierarchy build(const graph::Graph& g, std::span<const NodeId> ids = {},
-                  std::span<const geom::Vec2> positions = {},
-                  const Hierarchy* reuse = nullptr) const;
+                  std::span<const geom::Vec2> positions = {}) const;
 
   const ElectionAlgorithm& algorithm() const { return *algorithm_; }
 

@@ -3,7 +3,7 @@
 #include <span>
 #include <vector>
 
-#include "cluster/hierarchy_builder.hpp"
+#include "cluster/hierarchy.hpp"
 #include "geom/vec2.hpp"
 #include "graph/graph.hpp"
 
@@ -25,20 +25,18 @@
 ///     head gain/loss into 0 <-> >0 transitions of that count — reachable
 ///     only from vertices within 2 hops of a flipped link.
 ///   * A level k >= 1 exists only through the level-(k-1) head set, so
-///     repairs bubble upward only when a level's head set (or its level-k
-///     link set) actually changed; otherwise the level's election state is
-///     spliced through untouched.
+///     election repairs bubble upward only when a level's vertex set or
+///     link set actually changed; a level with no flips keeps its election
+///     state untouched (no election work at all).
 ///
 /// Bit-identity contract: HierarchyRepairer::repair() produces a Hierarchy
 /// equal member-for-member to `HierarchyBuilder(Alca, options).build(g, ids,
-/// positions, &prev)`. Every output table is a canonical pure function of
-/// (g, ids, positions, options) — elections break ties by unique ids, head
-/// lists and rollups are emitted in ascending dense order, level-k edge
-/// lists are produced by the same loops as the builder — so producing them
-/// from incremental state instead of a full scan cannot change a single
-/// byte. tests/cluster/repair_test.cpp re-verifies this against the builder
-/// on randomized dynamic topologies; the golden-artifact suite enforces it
-/// end-to-end.
+/// positions)`. The incremental election state projects to exactly the
+/// from-scratch ALCA election, and everything above the election —
+/// promotion, level-(k+1) links, rollups — is the one assembly routine both
+/// producers call (Hierarchy::promote). tests/cluster/repair_test.cpp
+/// re-verifies this against the builder on randomized dynamic topologies;
+/// the golden-artifact suite enforces it end-to-end.
 ///
 /// See docs/ARCHITECTURE.md "Incremental hierarchy repair" for the worked
 /// example and docs/PAPER_NOTES.md for how the paper's Section 5 events
@@ -114,12 +112,12 @@ struct RepairStats {
 /// on the incremental simulation path (RunOptions::localized_repair).
 ///
 /// Usage contract: repair() must be handed the snapshot it produced for the
-/// previous tick (`prev`) together with the exact level-0 edge delta between
-/// prev's topology and \p g. Whenever a tick's snapshot is produced by any
-/// other means — builder fallback on down-mask changes, augmentation
-/// bridges, a different election algorithm — call invalidate() so the next
-/// repair() re-seeds instead of trusting stale state. ALCA only: max-min
-/// elections have no incremental form here and take the builder path.
+/// previous tick (`prev`) together with the level-0 edge delta between
+/// prev's topology and \p g (or level0_delta_exact = false, see repair()).
+/// Whenever \p prev was produced by any other means, call invalidate() so
+/// the next repair() re-seeds instead of trusting stale state. ALCA only:
+/// max-min elections have no incremental form here and take the builder
+/// path.
 class HierarchyRepairer {
  public:
   explicit HierarchyRepairer(HierarchyOptions options = {});
@@ -128,10 +126,11 @@ class HierarchyRepairer {
   /// level (O(full build), after which repairs are churn-proportional again).
   void invalidate() { valid_ = false; }
 
-  /// Produce into \p out the hierarchy for (\p g, \p ids, \p positions) —
-  /// bit-identical to HierarchyBuilder(Alca, options).build(g, ids,
-  /// positions, &prev). \p links_up / \p links_down are the exact edge delta
-  /// from prev.level(0).topo to g; they are ignored on re-seeding calls.
+  /// Produce into \p out (which must not alias \p prev) the hierarchy for
+  /// (\p g, \p ids, \p positions) — bit-identical to
+  /// HierarchyBuilder(Alca, options).build(g, ids, positions). \p links_up /
+  /// \p links_down are the exact edge delta from prev.level(0).topo to g;
+  /// they are ignored on re-seeding calls.
   /// Pass \p level0_delta_exact = false when no trustworthy raw delta exists
   /// (augmentation bridges entered or left the graph, the fault down-mask
   /// flipped) — the repairer then edge-diffs level 0 against prev itself,

@@ -87,11 +87,12 @@ struct RunOptions {
 
   /// Incremental tick pipeline (default). The unit-disk graph is maintained
   /// as a delta over moved nodes, the hierarchy rebuild is skipped entirely
-  /// on ticks where nothing it depends on changed, and elections are reused
-  /// per level when a level's inputs are unchanged. Bit-identical to the
-  /// full-rebuild path (enforced by tests/integration/tick_pipeline_test);
-  /// set false to force the historical rebuild-everything tick, which is
-  /// what bench_tick_pipeline compares against.
+  /// on ticks where nothing it depends on changed, and changed ticks get it
+  /// from localized repair (\ref localized_repair) or a fresh build.
+  /// Bit-identical to the full-rebuild path (enforced by
+  /// tests/integration/tick_pipeline_test); set false to force the
+  /// historical rebuild-everything tick, which is what bench_tick_pipeline
+  /// compares against.
   bool incremental_tick = true;
 
   /// Localized hierarchy repair (incremental path only). Changed ticks feed

@@ -98,8 +98,10 @@ TEST(IncrementalAlca, MatchesFreshElectionUnderEdgeChurn) {
 // ---------------------------------------------------------------------------
 
 /// Drives repairer and builder over the same jittered deployment and
-/// requires bit-identity at every step.
-void run_dynamic_identity(HierarchyOptions options, std::uint64_t seed) {
+/// requires bit-identity at every step. Returns the number of repairs whose
+/// recursion the level cap cut short (top level at max_levels with more than
+/// one vertex left).
+Size run_dynamic_identity(HierarchyOptions options, std::uint64_t seed) {
   const Size n = 220;
   const double radius = 2.2;
   common::Xoshiro256 rng(seed);
@@ -124,9 +126,16 @@ void run_dynamic_identity(HierarchyOptions options, std::uint64_t seed) {
   Hierarchy b;
   Hierarchy* prev = &a;
   Hierarchy* cur = &b;
+  Size capped = 0;
+  auto check_step = [&] {
+    expect_same(*cur, builder.build(*g, ids, positions));
+    if (cur->top_level() == options.max_levels && cur->cluster_count(cur->top_level()) > 1) {
+      ++capped;
+    }
+    std::swap(prev, cur);
+  };
   repairer.repair(*g, disk.links_up(), disk.links_down(), ids, positions, *prev, *cur);
-  expect_same(*cur, builder.build(*g, ids, positions));
-  std::swap(prev, cur);
+  check_step();
 
   for (int step = 0; step < 30; ++step) {
     // Vary churn intensity: a few big jumps, many small drifts, some ticks
@@ -139,9 +148,9 @@ void run_dynamic_identity(HierarchyOptions options, std::uint64_t seed) {
     }
     g = &disk.update(positions);
     repairer.repair(*g, disk.links_up(), disk.links_down(), ids, positions, *prev, *cur);
-    expect_same(*cur, builder.build(*g, ids, positions));
-    std::swap(prev, cur);
+    check_step();
   }
+  return capped;
 }
 
 TEST(HierarchyRepairer, MatchesBuilderUnderMotionContractionLinks) {
@@ -154,6 +163,14 @@ TEST(HierarchyRepairer, MatchesBuilderUnderMotionGeometricLinks) {
   options.beta = 1.0;
   options.tx_radius = 2.2;
   run_dynamic_identity(options, 22);
+}
+
+TEST(HierarchyRepairer, MatchesBuilderUnderLevelCap) {
+  // Each producer's level loop enforces max_levels; the cap must cut both
+  // recursions at the same level, and it must actually bind here.
+  HierarchyOptions options;
+  options.max_levels = 2;
+  EXPECT_GT(run_dynamic_identity(options, 23), 0u);
 }
 
 TEST(HierarchyRepairer, SelfDiffsWhenDeltaNotTrustworthy) {
@@ -191,8 +208,8 @@ TEST(HierarchyRepairer, SelfDiffsWhenDeltaNotTrustworthy) {
 }
 
 TEST(HierarchyRepairer, InvalidateForcesReseedAcrossForeignSnapshots) {
-  // Simulates the sim's fallback ticks: the previous snapshot came from the
-  // builder (repairer state is stale), invalidate() is called, and the next
+  // A snapshot produced outside the repairer: the previous snapshot came
+  // from the builder (repairer state is stale), invalidate() is called, and the next
   // repair() must still be exact even though the graph changed arbitrarily.
   const Size n = 120;
   common::Xoshiro256 rng(44);

@@ -1,5 +1,6 @@
 /// Bit-identity of the sharded parallel tick (RunOptions::threads,
-/// RunOptions::shards) against the sequential legacy path.
+/// RunOptions::shards) against the default run: threads=1, shards=0, whose
+/// executor runs one shard inline on the calling thread.
 ///
 /// The contract (sim/shard.hpp): the shard topology is chosen at run start
 /// (resolve_shard_count; --shards, 0 = auto from the worker count), every
@@ -12,8 +13,8 @@
 /// accumulation is order-exact and byte-identity is a meaningful contract.
 ///
 /// The only permitted difference: parallel runs additionally publish par.*
-/// telemetry counters (sharded-work accounting) that a sequential run never
-/// creates. Those are excluded when comparing sequential vs parallel and
+/// telemetry counters (sharded-work accounting) that the default run never
+/// creates. Those are excluded when comparing default vs parallel and
 /// compared in full between parallel runs: every par.* counter is a sum of
 /// per-item work over shards, so the totals are invariant to BOTH the
 /// thread count and the shard count.
@@ -142,9 +143,10 @@ Products run_with_threads(const exp::ScenarioConfig& cfg, Size threads,
 }
 
 /// The full ISSUE-pinned topology sweep: shards {1, 4, 16, 64} x threads
-/// {1, 2, 8}, every cell compared against the pure sequential legacy path
-/// (threads=1, shards=0: no executor at all). par.* is excluded against
-/// sequential; between parallel cells even par.* must agree (workload sums).
+/// {1, 2, 8}, every cell compared against the default run (threads=1,
+/// shards=0: no pool, one inline shard, no par.* telemetry). par.* is
+/// excluded against the default run; between parallel cells even par.* must
+/// agree (workload sums).
 void expect_shard_count_identity(const exp::ScenarioConfig& cfg,
                                  Size query_load = 0) {
   const auto seq = run_with_threads(cfg, 1, query_load, 0);
@@ -228,8 +230,9 @@ TEST(ShardedTick, QueryServingRunIsShardCountInvariant) {
 }
 
 TEST(ShardedTick, ExplicitShardsOnOneWorkerMatchesSequential) {
-  // threads=1 + shards>0 runs the sharded path on a one-worker pool; it
-  // must still match the executor-free sequential run bit-for-bit.
+  // threads=1 + shards>0 runs four shards inline on the calling thread (no
+  // pool); it must still match the default one-inline-shard run
+  // bit-for-bit.
   const auto cfg = base_config();
   const auto seq = run_with_threads(cfg, 1);
   const auto par = run_with_threads(cfg, 1, 0, /*shards=*/4);

@@ -6,7 +6,8 @@
 
 /// Bit-identity contract of the incremental tick pipeline: with
 /// RunOptions::incremental_tick the unit-disk graph is maintained as a delta,
-/// the hierarchy rebuild is change-gated and election-memoized — and every
+/// the hierarchy rebuild is change-gated, changed ticks repair the hierarchy
+/// locally (ALCA) or rebuild it (other elections) — and every
 /// produced metric (phi/gamma rates, the full (i)-(vii) event taxonomy,
 /// per-level shapes, fault accounting) must equal the full-rebuild path's
 /// exactly, value for value and in emission order.
@@ -116,6 +117,19 @@ TEST(TickPipeline, IncrementalMatchesFullWithAllTrackersOn) {
   opts.track_registration = true;
   opts.measure_routing = true;
   run_both_and_compare(cfg, opts);
+}
+
+TEST(TickPipeline, IncrementalMatchesFullMaxMinElection) {
+  // Non-ALCA elections have no incremental form: changed ticks of the
+  // incremental pipeline call HierarchyBuilder::build, gated ticks keep the
+  // previous snapshot. Both level-k link models.
+  for (const bool geometric : {true, false}) {
+    auto cfg = base_config(160, 20);
+    cfg.cluster_algo = ClusterAlgo::kMaxMin2;
+    cfg.geometric_links = geometric;
+    SCOPED_TRACE(geometric ? "geometric links" : "contraction links");
+    run_both_and_compare(cfg);
+  }
 }
 
 TEST(TickPipeline, ReplicationAggregateInvariantAcrossThreadCounts) {
