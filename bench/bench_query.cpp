@@ -139,7 +139,7 @@ int main() {
     service.rebuild(h);
 
     common::Xoshiro256 rng(common::derive_seed(cfg.seed, 0x51AA));
-    graph::BfsScratch bfs;
+    graph::BfsPairScratch bfs;
     double query_sum = 0.0, direct_sum = 0.0, max_ratio = 0.0;
     Size samples = 0;
     while (samples < 200) {
@@ -147,8 +147,7 @@ int main() {
       const auto v = static_cast<NodeId>(common::uniform_index(rng, n));
       if (u == v) continue;
       const auto cost = service.query_cost(h, g, u, v);
-      bfs.run(g, u);
-      const auto direct = bfs.hops_to(v);
+      const auto direct = bfs.hops(g, u, v);
       if (direct == graph::kUnreachable || direct == 0) continue;
       query_sum += static_cast<double>(cost);
       direct_sum += direct;

@@ -70,7 +70,7 @@ sim::TraceEventType trace_type_of(cluster::ReorgEventType type) {
 /// Sampled mean level-0 hop count between nodes sharing a level-k cluster
 /// (the paper's h_k, eq. (3)).
 double measure_hk(const cluster::Hierarchy& h, const graph::Graph& g, Level k, Size pairs,
-                  common::Xoshiro256& rng, graph::BfsScratch& bfs) {
+                  common::Xoshiro256& rng, graph::BfsPairScratch& bfs) {
   double sum = 0.0;
   Size measured = 0;
   const Size n_clusters = h.cluster_count(k);
@@ -81,8 +81,7 @@ double measure_hk(const cluster::Hierarchy& h, const graph::Graph& g, Level k, S
     const NodeId u = members[common::uniform_index(rng, members.size())];
     const NodeId v = members[common::uniform_index(rng, members.size())];
     if (u == v) continue;
-    bfs.run(g, u);
-    const auto hops = bfs.hops_to(v);
+    const auto hops = bfs.hops(g, u, v);
     if (hops == graph::kUnreachable) continue;
     sum += hops;
     ++measured;
@@ -131,7 +130,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     case ClusterAlgo::kMaxMin2: algo = std::make_shared<cluster::MaxMinDCluster>(2); break;
   }
   cluster::HierarchyBuilder builder(algo, hopts);
-  cluster::Hierarchy hier = builder.build(g0, scenario.ids, scenario.mobility->positions());
+  cluster::Hierarchy hier;  // built from the post-warm-up snapshot below
 
   // Localized repair replaces the per-tick builder call on changed ticks of
   // the incremental path: consume the unit-disk link delta, re-elect only in
@@ -709,7 +708,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   }
 
   if (options.measure_hops) {
-    graph::BfsScratch bfs;
+    graph::BfsPairScratch bfs;
     for (Level k = 1; k <= hier.top_level(); ++k) {
       out.set(keyed("h_k", k),
               measure_hk(hier, *g, k, options.hop_sample_pairs, hop_rng, bfs));

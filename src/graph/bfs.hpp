@@ -23,8 +23,9 @@ std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source);
 std::vector<std::uint32_t> bfs_hops_multi(const Graph& g, std::span<const NodeId> sources);
 
 /// Reusable BFS workspace: avoids reallocating the frontier and distance
-/// arrays when many searches run against graphs of the same size (the
-/// handoff engine performs one BFS per unique transfer source per tick).
+/// arrays when many full sweeps run against graphs of the same size (the
+/// sampled hop statistics run one per source). A caller that needs one
+/// distance per search uses BfsPairScratch instead.
 class BfsScratch {
  public:
   /// Runs BFS from \p source and returns a view of the internal distance
@@ -41,8 +42,9 @@ class BfsScratch {
 
 /// Reusable single-pair hop query via bidirectional BFS.
 ///
-/// The handoff/GLS/registration pricing loops ask for hops(u, v) between
-/// specific endpoint pairs — typically nearby cluster heads — and a full
+/// The handoff/GLS/registration pricing loops and the h_k, stretch and
+/// query-cost samplers ask for hops(u, v) between specific endpoint pairs —
+/// typically nearby cluster heads or same-cluster members — and a full
 /// single-source sweep per query is O(V + E) regardless of how close v is.
 /// This scratch expands the smaller of two level-synchronized frontiers
 /// (one rooted at each endpoint) and stops as soon as the best meeting

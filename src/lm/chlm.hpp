@@ -46,7 +46,8 @@ class ChlmService {
   /// probing its candidate level-k servers computed within the requester's
   /// own level-k clusters, k ascending, until the true server is hit; then
   /// the reply returns directly. Requires both nodes in the (connected)
-  /// level-0 graph \p g. Implements the paper's Section 6 observation that
+  /// level-0 graph \p g; dies when any leg of the lookup crosses
+  /// components of \p g. Implements the paper's Section 6 observation that
   /// query cost is on the order of the requester-target hop count.
   PacketCount query_cost(const cluster::Hierarchy& h, const graph::Graph& g, NodeId requester,
                          NodeId target) const;

@@ -244,7 +244,7 @@ StretchStats measure_stretch(const RoutingTables& tables, const graph::Graph& g,
                              std::uint64_t seed) {
   StretchStats stats;
   common::Xoshiro256 rng(seed);
-  graph::BfsScratch bfs;
+  graph::BfsPairScratch bfs;
   RoutingTables::Scratch scratch;
   const Size n = g.vertex_count();
   if (n < 2) return stats;
@@ -260,8 +260,7 @@ StretchStats measure_stretch(const RoutingTables& tables, const graph::Graph& g,
     const auto u = static_cast<NodeId>(common::uniform_index(rng, n));
     const auto v = static_cast<NodeId>(common::uniform_index(rng, n));
     if (u == v) continue;
-    bfs.run(g, u);
-    const auto shortest = bfs.hops_to(v);
+    const auto shortest = bfs.hops(g, u, v);
     if (shortest == graph::kUnreachable) continue;
 
     const auto& routed = tables.route(u, v, scratch);

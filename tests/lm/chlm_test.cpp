@@ -9,6 +9,9 @@
 #include "common/rng.hpp"
 #include "geom/region.hpp"
 #include "graph/bfs.hpp"
+#include "graph/components.hpp"
+#include "lm/address.hpp"
+#include "lm/server_select.hpp"
 #include "net/unit_disk.hpp"
 
 namespace manet::lm {
@@ -114,6 +117,64 @@ TEST(Chlm, QueryCostBoundedByNetworkScale) {
   // The paper argues query cost is the same order as the direct hop count;
   // allow a generous constant factor.
   EXPECT_LT(total_query, 6.0 * total_direct + 10.0 * samples);
+}
+
+TEST(Chlm, QueryCostMatchesPerLegBfs) {
+  // Every leg of the probe chain is an exact hop count: recompute each one
+  // with a full single-source BFS and compare the totals pair by pair.
+  const auto f = make(400, 11);
+  ASSERT_TRUE(graph::is_connected(f.g));
+  ChlmService service;
+  service.rebuild(f.h);
+  const auto leg = [&](NodeId from, NodeId to) -> PacketCount {
+    const auto hops = graph::bfs_hops(f.g, from)[to];
+    EXPECT_NE(hops, graph::kUnreachable);
+    return hops;
+  };
+  common::Xoshiro256 rng(12);
+  Size probed = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto u = static_cast<NodeId>(common::uniform_index(rng, 400));
+    const auto v = static_cast<NodeId>(common::uniform_index(rng, 400));
+    const Level shared = lowest_common_level(f.h, u, v);
+    PacketCount expected = 0;
+    if (u != v && shared <= 1) {
+      expected = leg(u, v);
+    } else if (u != v) {
+      NodeId cursor = u;
+      for (Level k = kFirstServedLevel; k <= shared && k <= service.top_level(); ++k) {
+        const NodeId probe =
+            select_server_in(f.h, f.h.ancestor(u, k), k, v, ServerSelectConfig{});
+        expected += leg(cursor, probe);
+        cursor = probe;
+      }
+      expected += leg(cursor, v);
+      ++probed;
+    }
+    EXPECT_EQ(service.query_cost(f.h, f.g, u, v), expected) << u << " -> " << v;
+  }
+  EXPECT_GT(probed, 100u);  // the probe chain, not only direct routes
+}
+
+TEST(Chlm, QueryCostDisconnectedSharedClusterDies) {
+  // A pair inside one level-1 cluster routes directly; on a graph where the
+  // pair is disconnected that leg must die like the probe legs do, not
+  // report kUnreachable as a packet count.
+  const auto f = make(200, 13);
+  ChlmService service;
+  service.rebuild(f.h);
+  NodeId u = kInvalidNode, v = kInvalidNode;
+  for (NodeId c = 0; c < f.h.cluster_count(1) && u == kInvalidNode; ++c) {
+    const auto& members = f.h.members0(1, c);
+    if (members.size() >= 2) {
+      u = members[0];
+      v = members[1];
+    }
+  }
+  ASSERT_NE(u, kInvalidNode);
+  ASSERT_LE(lowest_common_level(f.h, u, v), 1u);
+  const graph::Graph edgeless(f.g.vertex_count(), std::vector<graph::Edge>{});
+  EXPECT_DEATH(service.query_cost(f.h, edgeless, u, v), "disconnected graph");
 }
 
 TEST(Chlm, RebuildIsIdempotent) {

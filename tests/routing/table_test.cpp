@@ -135,6 +135,39 @@ TEST(MeasureStretch, RecoveriesAreRare) {
   EXPECT_LT(stats.recoveries, stats.sampled_pairs / 4);
 }
 
+TEST(MeasureStretch, ShortestHopsMatchFullBfs) {
+  // Replay the sampler's draws with the same seed and recompute every
+  // shortest distance with a full single-source BFS: the mean must agree
+  // bit for bit with the sampler's pair queries.
+  const auto w = make(400, 15);
+  const RoutingTables tables(w.g, w.h);
+  const Size pairs = 150;
+  const std::uint64_t seed = 16;
+  const auto stats = measure_stretch(tables, w.g, pairs, seed);
+
+  common::Xoshiro256 rng(seed);
+  RoutingTables::Scratch scratch;
+  Size sampled = 0, failures = 0;
+  double short_sum = 0.0;
+  for (Size draws = 0; sampled + failures < pairs && draws < 64 * pairs; ++draws) {
+    const auto u = static_cast<NodeId>(common::uniform_index(rng, 400));
+    const auto v = static_cast<NodeId>(common::uniform_index(rng, 400));
+    if (u == v) continue;
+    const auto shortest = graph::bfs_hops(w.g, u)[v];
+    if (shortest == graph::kUnreachable) continue;
+    if (!tables.route(u, v, scratch).delivered) {
+      ++failures;
+      continue;
+    }
+    short_sum += shortest;
+    ++sampled;
+  }
+  ASSERT_EQ(stats.sampled_pairs, sampled);
+  ASSERT_EQ(stats.failures, failures);
+  ASSERT_GT(sampled, 0u);
+  EXPECT_EQ(stats.mean_shortest_hops, short_sum / static_cast<double>(sampled));
+}
+
 TEST(MeasureStretch, EdgelessGraphTerminatesWithNoPairs) {
   // Regression: unreachable draws never count toward the requested pairs,
   // so a graph without a single connected pair used to spin forever.

@@ -1,19 +1,20 @@
 #!/bin/sh
-# Sanitizer pass over hierarchy assembly, the session data plane and the
-# sharded tick.
+# Sanitizer pass over hierarchy assembly, the session data plane, the
+# sharded tick and the experiment layer (run_simulation).
 #
 # Configures two side build trees at the repository root, next to the
 # default build/:
 #   build-asan/  -DMANET_SANITIZE=address,undefined
 #   build-tsan/  -DMANET_SANITIZE=thread
 # (ASan and TSan cannot share a tree), builds the test binaries only, and
-# runs the sim, net, cluster, lm, routing, traffic, golden-identity,
-# sharded-tick and tick-pipeline suites under each. Those suites cover the
-# shard executor (inline and pooled) and every component that runs on it
-# (unit-disk builder, link tracker, handoff pricing), hierarchy building and
-# localized repair, the reused routing scratch and the session packet
-# path. Any sanitizer report or test failure makes the script exit
-# non-zero.
+# runs the graph, sim, net, cluster, lm, routing, traffic, exp,
+# golden-identity, sharded-tick and tick-pipeline suites under each. Those
+# suites cover the BFS kernels (single-source and the epoch-stamped pair
+# query), the shard executor (inline and pooled) and every component that
+# runs on it (unit-disk builder, link tracker, handoff pricing), hierarchy
+# building and localized repair, the reused routing scratch, the session
+# packet path, and run_simulation / the replication pool end to end. Any
+# sanitizer report or test failure makes the script exit non-zero.
 #
 # Usage: tools/run_sanitizers.sh [asan|tsan|all]   (default: all)
 #        JOBS=N sets the build parallelism (default: 4).
@@ -39,14 +40,16 @@ run_tree() {
     cmake -S "$root" -B "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DMANET_SANITIZE="$sanitize" -DCMAKE_CXX_FLAGS="$cxx_flags" \
         -DMANET_BUILD_BENCH=OFF -DMANET_BUILD_EXAMPLES=OFF
-    cmake --build "$dir" -j "$jobs" --target tests_sim tests_net tests_cluster \
-        tests_lm tests_routing tests_traffic tests_integration
+    cmake --build "$dir" -j "$jobs" --target tests_graph tests_sim tests_net \
+        tests_cluster tests_lm tests_routing tests_traffic tests_exp tests_integration
+    "$dir/tests/tests_graph"
     "$dir/tests/tests_sim"
     "$dir/tests/tests_net"
     "$dir/tests/tests_cluster"
     "$dir/tests/tests_lm"
     "$dir/tests/tests_routing"
     "$dir/tests/tests_traffic"
+    "$dir/tests/tests_exp"
     "$dir/tests/tests_integration" --gtest_filter='GoldenIdentity.*:ShardedTick.*:TickPipeline.*'
 }
 
